@@ -171,6 +171,9 @@ class Pipeline:
                 counters, per-thread CPI baselines) reset while all
                 microarchitectural state stays warm — the paper warms
                 structures before its measurement region the same way.
+                Only with ``stop="all"``: a ``"first"`` run may end
+                before every thread reaches the mark, so whether the
+                reset happens would depend on the config (ValueError).
         """
         self.start_run(stop, max_cycles, warmup_instructions)
         self.advance()
@@ -190,6 +193,11 @@ class Pipeline:
         """
         if stop not in ("first", "all"):
             raise ValueError("stop must be 'first' or 'all'")
+        if warmup_instructions and stop == "first":
+            # the reset waits for *every* thread to pass the mark, which
+            # a stop="first" run may or may not reach depending on the
+            # config: compared configs would measure different regions.
+            raise ValueError("warmup_instructions needs stop='all'")
         total_instrs = sum(len(t.trace) for t in self.threads)
         limit = max_cycles if max_cycles is not None else 400 * total_instrs
         warm = warmup_instructions

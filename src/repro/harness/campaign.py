@@ -13,7 +13,6 @@ does not force re-simulation.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -209,40 +208,33 @@ class Campaign:
                          progress: Optional[Callable[[str, int, int], None]]
                          ) -> Dict[str, dict]:
         """Submit every pending point to a running simulation service and
-        checkpoint results as jobs complete (completion order)."""
+        checkpoint results as jobs complete (completion order), blocking
+        in ``POST /jobs/wait`` long polls rather than polling each job."""
         from repro.service.client import ServiceClient
         client = ServiceClient(service) if isinstance(service, str) \
             else service
         total = len(self.points)
         pending = self.pending
         warehouse = self._begin_campaign()
-        job_ids = {client.submit_point(p.config, p.benchmarks, p.length,
-                                       seed=p.seed, stop=p.stop,
-                                       campaign=self.tag): p
-                   for p in pending}
+        outstanding = {client.submit_point(p.config, p.benchmarks, p.length,
+                                           seed=p.seed, stop=p.stop,
+                                           campaign=self.tag): p
+                       for p in pending}
         with self._checkpoint_file() as fh:
-            outstanding = dict(job_ids)
             while outstanding:
-                for job_id in list(outstanding):
-                    status = client.status(job_id)
-                    if status["state"] == "queued" or \
-                            status["state"] == "running":
-                        continue
-                    point = outstanding.pop(job_id)
-                    if status["state"] != "done":
+                for doc in client.wait_jobs(list(outstanding)):
+                    point = outstanding.pop(doc["job_id"])
+                    if doc["state"] != "done":
                         raise RuntimeError(
-                            f"service job {job_id} for {point.key} "
-                            f"failed: {status.get('error')}")
-                    payload = client.result(job_id)
-                    record = payload["record"]
+                            f"service job {doc['job_id']} for {point.key} "
+                            f"failed: {doc.get('error')}")
+                    record = doc["record"]
                     elapsed = record.pop("elapsed_s", 0.0)
                     self._checkpoint(fh, point,
                                      _point_record(point, record, elapsed))
                     self._mark_progress(warehouse, point)
                     if progress:
                         progress(point.key, self.completed, total)
-                if outstanding:
-                    time.sleep(0.05)
         return dict(self.records)
 
     def dataframe_rows(self) -> List[dict]:

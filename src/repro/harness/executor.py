@@ -201,9 +201,10 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
     With gang mode on (``REPRO_GANG``), store-missing points *without*
     a per-point timeout that share a trace signature simulate as one
     :class:`~repro.core.gang.GangEngine` unit (results bit-identical
-    to solo, ``elapsed_s`` reported as the gang's share); timed points
-    stay on the solo path because the ``SIGALRM`` budget is per point
-    and gang members interleave.
+    to solo, ``elapsed_s`` reported as the gang's share); a signature
+    with a single such point has no gang-mates and runs solo.  Timed
+    points stay on the solo path because the ``SIGALRM`` budget is per
+    point and gang members interleave.
     """
     # late import: repro.service imports this module at load time, so
     # the spec class must resolve lazily to keep the layering acyclic.
@@ -239,7 +240,10 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
                         "store_hit": hit is not None}
     for group in _gang_groups(gang_points):
         t0 = time.time()
-        results = simulate_gang([gang_points[g] for g in group])
+        if len(group) == 1:
+            results = [simulate_point(*gang_points[group[0]])]
+        else:
+            results = simulate_gang([gang_points[g] for g in group])
         share = (time.time() - t0) / len(group)
         for g, result in zip(group, results):
             out[gang_indices[g]] = {"ok": True, "result": result,

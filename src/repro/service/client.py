@@ -172,36 +172,50 @@ class ServiceClient:
         the job is still in flight)."""
         return self._request("GET", f"/jobs/{job_id}/result")[1]
 
-    def wait(self, job_id: str, timeout_s: Optional[float] = None,
-             poll_s: float = 0.05) -> dict:
-        """Poll until the job finishes; returns its final status.
+    def wait_jobs(self, job_ids: Sequence[str],
+                  timeout_s: Optional[float] = None) -> List[dict]:
+        """One ``POST /jobs/wait`` long poll: the terminal documents
+        (status merged with result, so a ``done`` job carries its
+        ``record``) of those *job_ids* that are finished, returned as
+        soon as there is at least one.  An empty list means the hold
+        ran out first: *timeout_s*, at most (and by default) half this
+        client's socket timeout; the server caps it too."""
+        hold = self.timeout_s / 2
+        if timeout_s is not None:
+            hold = min(timeout_s, hold)
+        return self._request("POST", "/jobs/wait", {
+            "ids": list(job_ids), "timeout_s": hold})[1]["jobs"]
+
+    def wait(self, job_id: str, timeout_s: Optional[float] = None) -> dict:
+        """Block until the job finishes; returns its terminal document
+        (the final status plus, for a ``done`` job, its ``record``).
 
         Raises :class:`JobFailed` if the job failed and
         :class:`TimeoutError` if *timeout_s* elapses first.
         """
         deadline = time.monotonic() + timeout_s if timeout_s else None
         while True:
-            status = self.status(job_id)
-            if status["state"] == "done":
-                return status
-            if status["state"] == "failed":
-                raise JobFailed(
-                    f"job {job_id} failed: {status.get('error')}",
-                    payload=status)
-            if deadline is not None and time.monotonic() > deadline:
+            budget = None if deadline is None \
+                else max(0.0, deadline - time.monotonic())
+            docs = self.wait_jobs([job_id], budget)
+            if docs:
+                doc = docs[0]
+                if doc["state"] == "failed":
+                    raise JobFailed(
+                        f"job {job_id} failed: {doc.get('error')}",
+                        payload=doc)
+                return doc
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
-                    f"job {job_id} still {status['state']} after "
-                    f"{timeout_s}s")
-            time.sleep(poll_s)
+                    f"job {job_id} not finished after {timeout_s}s")
 
     def run(self, spec: Union[JobSpec, dict], priority: int = 0,
             timeout_s: Optional[float] = None,
             wait_timeout_s: Optional[float] = None) -> dict:
-        """Submit, wait, and return the result document in one call."""
+        """Submit, wait, and return the terminal document in one call."""
         job_id = self.submit(spec, priority=priority,
                              timeout_s=timeout_s)["job_id"]
-        self.wait(job_id, timeout_s=wait_timeout_s)
-        return self.result(job_id)
+        return self.wait(job_id, timeout_s=wait_timeout_s)
 
     # -- fleet protocol (worker side; coordinator must run --fleet) --------
 

@@ -325,10 +325,6 @@ class JobQueue:
 
     # -- consumption -------------------------------------------------------
 
-    #: gang-aware ``take_batch`` looks at most this many entries past
-    #: ``max_n`` for signature matches, bounding the per-batch heap work.
-    GANG_SCAN_FACTOR = 8
-
     def take_batch(self, max_n: int, gang: bool = False,
                    mark_running: bool = True) -> List[Job]:
         """Pop up to *max_n* compatible jobs and mark them running.
@@ -342,51 +338,39 @@ class JobQueue:
         where they are still *waiting* — they go RUNNING only when a
         worker actually leases them (see :meth:`mark_running`).
 
-        With ``gang=True`` the batch prefers jobs sharing the head
-        job's trace signature ``(benchmarks, length, seed, stop)``, so
-        the worker can form one simulation gang over shared decoded
-        traces: matching jobs are pulled from deeper in the queue
-        (bounded by :data:`GANG_SCAN_FACTOR`), then the batch is topped
-        up with the skipped jobs — which otherwise stay queued, in
-        their original order.
+        With ``gang=True`` the batch first takes every compatible job
+        sharing the head job's trace signature ``(benchmarks, length,
+        seed, stop)``, however deep it sits, oldest first — a grid
+        submitted config-major keeps a mix's configs far apart in the
+        queue, and this is what still lands them on one worker as one
+        gang over shared traces.  Either way the batch is then topped
+        up from the head of the queue.
         """
         now = time.monotonic()
         with self._lock:
             if not self._heap:
                 return []
-            batch = [heapq.heappop(self._heap)[2]]
-            if not gang:
-                while self._heap and len(batch) < max_n:
-                    head = self._heap[0][2]
-                    if head.priority != batch[0].priority or \
-                            head.timeout_s != batch[0].timeout_s:
-                        break
-                    batch.append(heapq.heappop(self._heap)[2])
-            else:
-                first = batch[0]
-                signature = (first.spec.benchmarks, first.spec.length,
-                             first.spec.seed, first.spec.stop)
-                skipped: List[tuple] = []
-                budget = max_n * self.GANG_SCAN_FACTOR
-                while self._heap and len(batch) < max_n and budget > 0:
-                    head = self._heap[0][2]
-                    if head.priority != first.priority or \
-                            head.timeout_s != first.timeout_s:
-                        break
-                    entry = heapq.heappop(self._heap)
-                    budget -= 1
-                    spec = head.spec
-                    if (spec.benchmarks, spec.length, spec.seed,
-                            spec.stop) == signature:
-                        batch.append(head)
-                    else:
-                        skipped.append(entry)
-                # top up with skipped (still-compatible) jobs, oldest
-                # first; the rest go back with their original seq keys.
-                while skipped and len(batch) < max_n:
-                    batch.append(skipped.pop(0)[2])
-                for entry in skipped:
-                    heapq.heappush(self._heap, entry)
+            first = heapq.heappop(self._heap)[2]
+            batch = [first]
+            if gang and max_n > 1:
+                signature = first.spec.locality_key()
+                mates = heapq.nsmallest(max_n - 1, (
+                    entry for entry in self._heap
+                    if entry[0] == first.priority
+                    and entry[2].timeout_s == first.timeout_s
+                    and entry[2].spec.locality_key() == signature))
+                if mates:
+                    taken = {entry[1] for entry in mates}
+                    self._heap = [entry for entry in self._heap
+                                  if entry[1] not in taken]
+                    heapq.heapify(self._heap)
+                    batch.extend(entry[2] for entry in mates)
+            while self._heap and len(batch) < max_n:
+                head = self._heap[0][2]
+                if head.priority != first.priority or \
+                        head.timeout_s != first.timeout_s:
+                    break
+                batch.append(heapq.heappop(self._heap)[2])
             if mark_running:
                 for job in batch:
                     job.state = JobState.RUNNING

@@ -13,6 +13,17 @@ streams — one request per connection, JSON in and out:
                           (:meth:`SimResult.as_record` + ``elapsed_s``) for
                           ``done`` jobs, the structured error for ``failed``
                           ones; 409 while the job is still in flight.
+``POST /jobs/wait``       long poll over ``{"ids": [...], "timeout_s": t}``:
+                          answers ``{"jobs": [...]}`` as soon as at least
+                          one listed job is terminal (at once if one
+                          already is), or with an empty list when *t*
+                          (capped at :data:`MAX_WAIT_S`) runs out.  Each
+                          entry is the job's status document merged with
+                          its result document, so a ``done`` job carries
+                          its ``record``; 400 on a bad body, 404 on an
+                          unknown id.  ``Campaign.run(service=...)`` and
+                          :meth:`ServiceClient.wait` use it: about 2
+                          requests per job instead of a status poll loop.
 ``GET /metrics``          queue depth, in-flight, cache hit rate, jobs/sec,
                           latency p50/p95, and every scheduler counter.
 ``GET /campaigns``        live per-campaign analytics: the service's
@@ -43,10 +54,10 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.harness.cache import get_store
-from repro.service.jobs import JobQueue, JobSpec
+from repro.service.jobs import Job, JobQueue, JobSpec
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import BatchScheduler
 
@@ -57,6 +68,18 @@ _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
 
 #: request body cap — a full inline config is ~2 KB; 1 MB is generous.
 MAX_BODY = 1 << 20
+
+#: longest ``POST /jobs/wait`` hold, kept well below the client's 10 s
+#: default socket timeout so a long poll never reads as a dead server.
+MAX_WAIT_S = 5.0
+
+
+class _BadRequest(Exception):
+    """A request that is answered with an error before routing."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServiceServer:
@@ -78,7 +101,7 @@ class ServiceServer:
         self.dashboard = dashboard
         self.metrics = ServiceMetrics()
         self.queue = JobQueue(store=get_store(),
-                              on_finish=self.metrics.job_finished)
+                              on_finish=self._job_finished)
         if fleet:
             from repro.fleet import FleetDispatcher
             self.scheduler = FleetDispatcher(
@@ -94,6 +117,12 @@ class ServiceServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown = asyncio.Event()
+        #: job id -> futures of the ``/jobs/wait`` requests listing it;
+        #: loop-side only (the scheduler thread wakes them through
+        #: ``call_soon_threadsafe``).
+        self._waiters: Dict[str, Set[asyncio.Future]] = {}
+        self._closing = False
+        self._handlers: Set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,14 +161,41 @@ class ServiceServer:
         # stop() joins the scheduler thread — blocking, so off-loop.
         await asyncio.get_running_loop().run_in_executor(
             None, lambda: self.scheduler.stop(drain=False, timeout=5.0))
+        # answer pending long polls now rather than at their timeouts,
+        # and let every open request finish its response before the
+        # loop goes away.
+        self._closing = True
+        for job_id in list(self._waiters):
+            self._wake(job_id)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers), timeout=5.0)
+
+    def _job_finished(self, job: Job) -> None:
+        """The queue's ``on_finish`` hook, run on whichever thread
+        resolved *job*: count it, then wake its long polls on the loop."""
+        self.metrics.job_finished(job)
+        if self._loop is None:
+            return
+        try:
+            self._loop.call_soon_threadsafe(self._wake, job.job_id)
+        except RuntimeError:
+            pass  # loop closed: no request is left to answer
+
+    def _wake(self, job_id: str) -> None:
+        for waiter in self._waiters.pop(job_id, ()):
+            if not waiter.done():
+                waiter.set_result(None)
 
     # -- HTTP plumbing -----------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
             status, payload = await self._respond(reader)
         except (asyncio.IncompleteReadError, ConnectionError,
@@ -167,24 +223,41 @@ class ServiceServer:
 
     async def _respond(self, reader: asyncio.StreamReader
                        ) -> Tuple[int, dict]:
-        request_line = await asyncio.wait_for(reader.readline(), 10.0)
+        # one timeout for the whole request: a wait_for per line would
+        # cost a task and a loop pass each, several times per request.
+        try:
+            method, path, body = await asyncio.wait_for(
+                self._read_request(reader), 10.0)
+        except _BadRequest as exc:
+            return exc.status, {"error": str(exc)}
+        if path == "/jobs/wait" and method == "POST":
+            return await self._wait(body)
+        return self._route(method, path, body)
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader
+                            ) -> Tuple[str, str, bytes]:
+        """Read one request: method, path and body.  Only ever awaited
+        under :meth:`_respond`'s ``wait_for``, which bounds these reads."""
+        request_line = await reader.readline()  # repro-lint: waive=ASY403
         parts = request_line.decode("ascii").split()
         if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, path = parts[0].upper(), parts[1]
+            raise _BadRequest(400, "malformed request line")
         content_length = 0
         while True:
-            line = await asyncio.wait_for(reader.readline(), 10.0)
+            line = await reader.readline()  # repro-lint: waive=ASY403
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin1").partition(":")
             if name.strip().lower() == "content-length":
                 content_length = int(value.strip())
         if content_length > MAX_BODY:
-            return 413, {"error": "request body too large"}
-        body = await asyncio.wait_for(reader.readexactly(content_length),
-                                      10.0) if content_length else b""
-        return self._route(method, path, body)
+            raise _BadRequest(413, "request body too large")
+        body = b""
+        if content_length:
+            body = await reader.readexactly(  # repro-lint: waive=ASY403
+                content_length)
+        return parts[0].upper(), parts[1], body
 
     # -- routing -----------------------------------------------------------
 
@@ -331,6 +404,51 @@ class ServiceServer:
                                 timeout_s=timeout_s, campaign=campaign)
         self.scheduler.kick()
         return 201, job.status()
+
+    async def _wait(self, body: bytes) -> Tuple[int, dict]:
+        """``POST /jobs/wait``: the terminal documents of the listed
+        jobs, held until at least one is terminal or the timeout ends."""
+        try:
+            payload = json.loads(body.decode() or "{}")
+            if not isinstance(payload, dict):
+                raise ValueError("wait payload must be a JSON object")
+            ids = payload.get("ids")
+            if not isinstance(ids, list) or not ids or \
+                    not all(isinstance(i, str) for i in ids):
+                raise ValueError("ids must be a non-empty list of job ids")
+            timeout_s = float(payload.get("timeout_s", 0.0))
+            if not timeout_s >= 0.0:  # also rejects NaN
+                raise ValueError("timeout_s must be a non-negative number")
+            timeout_s = min(timeout_s, MAX_WAIT_S)
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
+            return 400, {"error": str(exc)}
+        jobs: List[Job] = []
+        for job_id in dict.fromkeys(ids):
+            job = self.queue.get(job_id)
+            if job is None:
+                return 404, {"error": f"no such job {job_id!r}"}
+            jobs.append(job)
+        if not any(job.finished for job in jobs) and timeout_s > 0 and \
+                not self._closing:
+            # no await between the check above and this registration,
+            # and every wake-up is queued on this loop: a job finishing
+            # in between still finds the future.
+            waiter = asyncio.get_running_loop().create_future()
+            for job in jobs:
+                self._waiters.setdefault(job.job_id, set()).add(waiter)
+            try:
+                await asyncio.wait_for(waiter, timeout_s)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                for job in jobs:
+                    waiters = self._waiters.get(job.job_id)
+                    if waiters is not None:
+                        waiters.discard(waiter)
+                        if not waiters:
+                            del self._waiters[job.job_id]
+        return 200, {"jobs": [{**job.status(), **self._result(job)[1]}
+                              for job in jobs if job.finished]}
 
     @staticmethod
     def _result(job) -> Tuple[int, dict]:

@@ -103,7 +103,12 @@ _BodyFn = Callable[[_Body, random.Random, int, dict], None]
 
 
 def _chase_order(rng: random.Random, n_elems: int) -> List[int]:
-    """A single-cycle random permutation for pointer chasing."""
+    """A uniformly shuffled successor table for pointer chasing.
+
+    Not a single-cycle permutation: a chase starting anywhere follows
+    the cycle through its start, which may close well before it has
+    visited every element (generators must not rely on full coverage).
+    """
     order = list(range(n_elems))
     rng.shuffle(order)
     return order

@@ -4,6 +4,7 @@ failure injection (the invariant checks must actually catch corruption)."""
 import pytest
 
 from repro.core import CoreConfig, Pipeline, simulate
+from repro.core.gang import GangEngine
 from repro.core.shelf import ShelfPartition
 from repro.frontend.fetch import ICount2Policy, make_fetch_policy
 from repro.trace import generate
@@ -32,6 +33,19 @@ class TestWarmup:
         with pytest.raises(ValueError):
             simulate(CoreConfig(num_threads=1), [tr], stop="all",
                      warmup_instructions=300)
+
+    def test_warmup_rejected_with_stop_first(self):
+        # a stop="first" run may end before every thread reaches the
+        # mark, so the reset would fire on some configs and not others.
+        traces = [generate(b, 1200, i) for i, b in enumerate(
+            ["ilp.int8", "serial.alu"])]
+        with pytest.raises(ValueError, match="stop='all'"):
+            simulate(CoreConfig(num_threads=2), traces, stop="first",
+                     warmup_instructions=300)
+        gang = GangEngine([Pipeline(CoreConfig(num_threads=2), traces)],
+                          stop="first")
+        with pytest.raises(ValueError, match="stop='all'"):
+            gang.run(warmup_instructions=300)
 
     def test_warmup_multithreaded(self):
         traces = [generate(b, 1200, i) for i, b in enumerate(

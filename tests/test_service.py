@@ -13,11 +13,13 @@ import time
 import pytest
 
 from repro.core.pipeline import Pipeline
+from repro.harness import executor
 from repro.harness.cache import get_store, point_digest, reset_store
 from repro.harness.campaign import standard_campaign
-from repro.harness.configs import base64_config, shelf_config
-from repro.harness.executor import simulate_point
-from repro.service.client import ServiceClient, ServiceError
+from repro.harness.configs import (EVALUATED_CONFIGS, base64_config,
+                                   shelf_config)
+from repro.harness.executor import execute_wire_batch, simulate_point
+from repro.service.client import JobFailed, ServiceClient, ServiceError
 from repro.service.jobs import JobQueue, JobSpec, JobState, config_from_wire
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import CRASH_ONCE_ENV, BatchScheduler
@@ -179,6 +181,24 @@ class TestJobQueue:
         assert job.state == JobState.DONE and job.cached
         assert q.cache_hits == 1 and q.depth == 0
 
+    def test_gang_batch_takes_whole_mix_from_config_major_grid(self):
+        # the Fig 10 grid submitted config-major puts one mix's four
+        # configs 28 queue entries apart; each batch must still be one
+        # whole mix, however deep its later configs sit.
+        mixes = balanced_random_mixes()[:28]
+        q = JobQueue()
+        jobs = {}
+        for name, factory in EVALUATED_CONFIGS.items():
+            for i, mix in enumerate(mixes):
+                jobs[name, i] = q.submit(JobSpec(
+                    config=factory(4), benchmarks=tuple(mix), length=300,
+                    seed=i))
+        for i in range(len(mixes)):
+            batch = q.take_batch(4, gang=True)
+            assert [j.job_id for j in batch] == \
+                [jobs[name, i].job_id for name in EVALUATED_CONFIGS]
+        assert q.take_batch(4, gang=True) == []
+
 
 # ---------------------------------------------------------------------------
 # Scheduler (worker fleet, no HTTP)
@@ -280,6 +300,29 @@ class TestScheduler:
         assert metrics.counters["executed_points"] == 4
 
 
+def test_wire_batch_runs_lone_points_solo(fresh_store, monkeypatch):
+    """An untimed store miss with no gang-mate in its batch runs through
+    simulate_point; only a shared trace signature builds a GangEngine."""
+    monkeypatch.delenv("REPRO_GANG", raising=False)
+    built = []
+
+    class CountingGang(executor.GangEngine):
+        def __init__(self, members, **kw):
+            built.append(len(members))
+            super().__init__(members, **kw)
+
+    monkeypatch.setattr(executor, "GangEngine", CountingGang)
+    lone = [_spec(length=300, seed=1), _spec(benchmark="mixed.int",
+                                             length=300, seed=2)]
+    pair = [_spec(length=300, seed=3),
+            _spec(length=300, seed=3, config=base64_config(1))]
+    outcomes = execute_wire_batch([s.to_wire() for s in lone + pair])
+    assert built == [2]
+    for spec, outcome in zip(lone + pair, outcomes):
+        assert outcome["ok"] and not outcome["store_hit"]
+        assert outcome["result"].as_record() == _direct_record(spec)
+
+
 # ---------------------------------------------------------------------------
 # HTTP server + client
 # ---------------------------------------------------------------------------
@@ -362,10 +405,21 @@ class TestServer:
         assert job.state == JobState.DONE
 
     def test_campaign_via_service(self, fresh_store, tmp_path):
+        class CountingClient(ServiceClient):
+            requests = 0
+
+            def _request_once(self, *args, **kwargs):
+                CountingClient.requests += 1
+                return super()._request_once(*args, **kwargs)
+
         mixes = balanced_random_mixes()[:1]
         with _Service(workers=2, batch_size=2) as client:
-            via = standard_campaign(tmp_path / "svc.jsonl", mixes,
-                                    300).run(service=client)
+            counting = CountingClient(f"http://{client.host}:{client.port}")
+            campaign = standard_campaign(tmp_path / "svc.jsonl", mixes, 300)
+            via = campaign.run(service=counting)
+        # one submit plus a share of the long polls per job, where a
+        # status poll loop made dozens.
+        assert CountingClient.requests <= 3 * len(campaign.points)
         local = standard_campaign(tmp_path / "local.jsonl", mixes,
                                   300).run()
 
@@ -377,6 +431,143 @@ class TestServer:
         # the service-side checkpoint file reloads cleanly
         reloaded = standard_campaign(tmp_path / "svc.jsonl", mixes, 300)
         assert reloaded.pending == []
+
+
+# ---------------------------------------------------------------------------
+# POST /jobs/wait (long poll)
+# ---------------------------------------------------------------------------
+
+def _idle_service(**kw) -> _Service:
+    """A service whose scheduler never dispatches: submitted misses stay
+    queued until the test resolves them (no worker process starts)."""
+    kw.setdefault("drain_timeout_s", 0.2)
+    service = _Service(**kw)
+    service.server.scheduler._fill = lambda: None
+    return service
+
+
+def _wait_in_thread(client, job_ids, timeout_s):
+    """Run one long poll on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def go():
+        t0 = time.monotonic()
+        outcome["docs"] = client.wait_jobs(job_ids, timeout_s)
+        outcome["elapsed"] = time.monotonic() - t0
+
+    thread = threading.Thread(target=go, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestWaitEndpoint:
+    def test_finished_job_returns_at_once_with_record(self, fresh_store):
+        spec = _spec(length=300)
+        simulate_point(*spec.point())  # a store hit: done on submit
+        with _idle_service() as client:
+            jid = client.submit(spec.to_wire())["job_id"]
+            t0 = time.monotonic()
+            [doc] = client.wait_jobs([jid], timeout_s=5.0)
+            assert time.monotonic() - t0 < 2.0
+            assert doc["job_id"] == jid and doc["state"] == "done"
+            assert doc["cached"] and doc["digest"] == spec.digest()
+            record = dict(doc["record"])
+            record.pop("elapsed_s")
+            assert record == _direct_record(spec)
+            assert client.wait(jid)["record"] == doc["record"]
+
+    def test_wakes_on_completion_from_another_thread(self, fresh_store):
+        spec = _spec(length=300)
+        service = _idle_service()
+        with service as client:
+            jid = client.submit(spec.to_wire())["job_id"]
+            thread, outcome = _wait_in_thread(client, [jid], 5.0)
+            time.sleep(0.2)
+            assert thread.is_alive()  # nothing finished yet: it holds
+            queue = service.server.queue
+            [job] = queue.take_batch(1)  # play the scheduler's part
+            queue.complete(job, simulate_point(*spec.point()), 0.5)
+            thread.join(5.0)
+            assert not thread.is_alive()
+            assert outcome["elapsed"] < 3.0
+            [doc] = outcome["docs"]
+            assert doc["state"] == "done" and not doc["cached"]
+            assert doc["record"]["elapsed_s"] == 0.5
+
+    def test_timeout_returns_no_jobs(self, fresh_store):
+        with _idle_service() as client:
+            jid = client.submit(_spec(length=300).to_wire())["job_id"]
+            t0 = time.monotonic()
+            assert client.wait_jobs([jid], timeout_s=0.3) == []
+            assert 0.25 < time.monotonic() - t0 < 3.0
+            with pytest.raises(TimeoutError):
+                client.wait(jid, timeout_s=0.3)
+
+    def test_unknown_id_and_malformed_body(self, fresh_store):
+        with _idle_service() as client:
+            jid = client.submit(_spec(length=300).to_wire())["job_id"]
+            with pytest.raises(ServiceError) as err:
+                client.wait_jobs([jid, "j999999"], timeout_s=0.1)
+            assert err.value.status == 404
+            for body in ({}, {"ids": []}, {"ids": [7]}, {"ids": jid},
+                         {"ids": [jid], "timeout_s": "soon"},
+                         {"ids": [jid], "timeout_s": -1}, [jid]):
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", "/jobs/wait", body)
+                assert err.value.status == 400, body
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", "/jobs/wait")
+            assert err.value.status == 404
+
+    def test_failed_job_carries_structured_error(self, fresh_store):
+        service = _idle_service()
+        with service as client:
+            jid = client.submit(_spec(length=300).to_wire())["job_id"]
+            queue = service.server.queue
+            [job] = queue.take_batch(1)
+            error = {"type": "worker-crash", "message": "boom"}
+            queue.fail(job, error)
+            [doc] = client.wait_jobs([jid], timeout_s=5.0)
+            assert doc["state"] == "failed" and doc["error"] == error
+            assert "record" not in doc
+            with pytest.raises(JobFailed) as err:
+                client.wait(jid, timeout_s=5.0)
+            assert err.value.payload["error"] == error
+
+    def test_drain_answers_pending_waits(self, fresh_store):
+        # the drain fails the never-dispatched job with a shutdown
+        # error, and the waiter hears of it at once.
+        service = _idle_service()
+        with service as client:
+            jid = client.submit(_spec(length=300).to_wire())["job_id"]
+            thread, outcome = _wait_in_thread(client, [jid], 5.0)
+            time.sleep(0.2)
+            service.server.request_shutdown()
+            thread.join(5.0)
+        assert not thread.is_alive() and outcome["elapsed"] < 3.0
+        [doc] = outcome["docs"]
+        assert doc["state"] == "failed"
+        assert doc["error"]["type"] == "shutdown"
+
+    def test_drain_wakes_waits_on_unfinished_jobs(self, fresh_store):
+        # even a job the scheduler never resolves must not hold the
+        # shutdown for the rest of the long poll.
+        service = _idle_service()
+        scheduler = service.server.scheduler
+        real_stop = scheduler.stop
+        scheduler.stop = lambda **kw: True
+        try:
+            with service as client:
+                jid = client.submit(_spec(length=300).to_wire())["job_id"]
+                thread, outcome = _wait_in_thread(client, [jid], 5.0)
+                time.sleep(0.2)
+                t0 = time.monotonic()
+                service.server.request_shutdown()
+                thread.join(5.0)
+            assert time.monotonic() - t0 < 3.0
+            assert not thread.is_alive() and outcome["docs"] == []
+        finally:
+            assert real_stop(drain=False, timeout=10.0)
 
 
 # ---------------------------------------------------------------------------

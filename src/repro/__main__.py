@@ -388,26 +388,16 @@ def _cmd_profile(args) -> int:
     traces = [generate(b, args.length, seed=args.seed + i)
               for i, b in enumerate(benches)]
     stop = "all" if args.threads == 1 else "first"
+    mode_kwargs = {
+        "lanes": {"lanes": True},
+        "object": {"lanes": False, "fastforward": True},
+        "reference": {"lanes": False, "fastforward": False},
+    }[args.mode]
+    pipe = Pipeline(cfg, traces, **mode_kwargs)
     profiler = cProfile.Profile()
-    if args.mode == "gang":
-        # N identical members over shared traces: profiles the gang
-        # driver, the shared-decode fetch path, and slice re-entry.
-        from repro.core.gang import GangEngine
-        members = [Pipeline(cfg, traces) for _ in range(args.gang_size)]
-        engine = GangEngine(members, stop=stop)
-        profiler.enable()
-        res = engine.run()[0]
-        profiler.disable()
-    else:
-        mode_kwargs = {
-            "lanes": {"lanes": True},
-            "object": {"lanes": False, "fastforward": True},
-            "reference": {"lanes": False, "fastforward": False},
-        }[args.mode]
-        pipe = Pipeline(cfg, traces, **mode_kwargs)
-        profiler.enable()
-        res = pipe.run(stop=stop)
-        profiler.disable()
+    profiler.enable()
+    res = pipe.run(stop=stop)
+    profiler.disable()
     print(res.summary())
     print(f"\nmode: {args.mode}, sorted by {args.sort}, "
           f"top {args.limit}:\n")
@@ -527,13 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--memory-model", choices=["relaxed", "tso"],
                       default="relaxed")
     prof.add_argument("--mode",
-                      choices=["lanes", "object", "reference", "gang"],
+                      choices=["lanes", "object", "reference"],
                       default="lanes",
-                      help="which cycle loop to profile (default: lanes); "
-                           "gang interleaves --gang-size identical members")
-    prof.add_argument("--gang-size", type=int, default=8, metavar="K",
-                      help="members in the profiled gang "
-                           "(--mode gang only; default: 8)")
+                      help="which cycle loop to profile (default: lanes)")
     prof.add_argument("--sort", default="cumulative",
                       choices=["cumulative", "tottime", "ncalls",
                                "pcalls", "filename", "line", "name",

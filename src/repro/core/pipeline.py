@@ -139,13 +139,6 @@ class Pipeline:
         self.ff_jumps = 0
         self.ff_skipped_cycles = 0
 
-        #: sliced-run state (see :meth:`start_run`): stop condition,
-        #: cycle limit, remaining warm-up target, total trace length.
-        self._run_stop: str = "first"
-        self._run_limit: int = 0
-        self._run_warm: int = 0
-        self._run_total: int = 0
-
         #: flat-lane engine: mirrors per-instruction hot state into
         #: parallel int arrays and runs an inlined cycle step over them.
         #: Built last so it can snapshot every structure above.
@@ -156,8 +149,8 @@ class Pipeline:
     # driver
     # ------------------------------------------------------------------
 
-    def run(self, stop: str = "first", max_cycles: Optional[int] = None,
-            warmup_instructions: int = 0) -> SimResult:
+    def run(self, stop: str = "first",
+            max_cycles: Optional[int] = None) -> SimResult:
         """Simulate until the stop condition; return a :class:`SimResult`.
 
         Args:
@@ -166,87 +159,34 @@ class Pipeline:
                 contention stays constant); ``"all"`` runs every thread to
                 completion (used for single-thread reference runs).
             max_cycles: hard safety bound (default: 400 cycles/instruction).
-            warmup_instructions: once every thread has retired this many
-                instructions, statistics (event counts, cache/predictor
-                counters, per-thread CPI baselines) reset while all
-                microarchitectural state stays warm — the paper warms
-                structures before its measurement region the same way.
-                Only with ``stop="all"``: a ``"first"`` run may end
-                before every thread reaches the mark, so whether the
-                reset happens would depend on the config (ValueError).
-        """
-        self.start_run(stop, max_cycles, warmup_instructions)
-        self.advance()
-        return self.finish_run()
-
-    def start_run(self, stop: str = "first",
-                  max_cycles: Optional[int] = None,
-                  warmup_instructions: int = 0) -> None:
-        """Validate and record run parameters without simulating.
-
-        The sliced-run API — ``start_run`` / :meth:`advance` /
-        :meth:`finish_run` — is :meth:`run` split into resumable pieces
-        so a gang engine can interleave bounded slices of several
-        pipelines through one driver loop.  ``run`` itself is exactly
-        ``start_run(); advance(); finish_run()``, so the two surfaces
-        can never drift.
         """
         if stop not in ("first", "all"):
             raise ValueError("stop must be 'first' or 'all'")
-        if warmup_instructions and stop == "first":
-            # the reset waits for *every* thread to pass the mark, which
-            # a stop="first" run may or may not reach depending on the
-            # config: compared configs would measure different regions.
-            raise ValueError("warmup_instructions needs stop='all'")
         total_instrs = sum(len(t.trace) for t in self.threads)
         limit = max_cycles if max_cycles is not None else 400 * total_instrs
-        warm = warmup_instructions
-        if warm and warm >= min(len(t.trace) for t in self.threads):
-            raise ValueError("warmup must be shorter than the traces")
-        self._run_stop = stop
-        self._run_limit = limit
-        self._run_warm = warm
-        self._run_total = total_instrs
-
-    def advance(self, until: Optional[int] = None) -> bool:
-        """Simulate toward the stop condition; ``True`` once reached.
-
-        With ``until`` set, returns ``False`` as soon as
-        ``self.cycle >= until`` — a bounded slice; call again to resume
-        the identical run (a fast-forward jump may overshoot the bound,
-        which only makes the slice end later).  Raises
-        :class:`DeadlockError` exactly as :meth:`run` would.
-        """
-        stop = self._run_stop
-        limit = self._run_limit
-        warm = self._run_warm
-        total_instrs = self._run_total
         if self._lane_engine is not None:
             # The lane engine owns the cycle loop: same stop conditions,
-            # warm-up resets, fast-forward jumps, and deadlock checks,
-            # with the stage bodies inlined (see repro.core.lanes).
-            done = self._lane_engine.run_loop(stop == "first", limit,
-                                              warm, total_instrs,
-                                              until=until or 0)
-            if warm and all(t.retired >= warm for t in self.threads):
-                # run_loop already reset statistics when every thread
-                # crossed the warm-up mark (its warm check runs before
-                # any bounded-slice return); never reset twice.
-                self._run_warm = 0
-            return done
+            # fast-forward jumps, and deadlock checks, with the stage
+            # bodies inlined (see repro.core.lanes).
+            self._lane_engine.run_loop(stop == "first", limit, total_instrs)
+        else:
+            self._run_object_loop(stop, limit, total_instrs)
+        if self.sanitizer is not None and \
+                all(t.finished for t in self.threads):
+            self.sanitizer.check_drain(self.cycle)
+        return self._result(stop)
+
+    def _run_object_loop(self, stop: str, limit: int,
+                         total_instrs: int) -> None:
+        """The per-object cycle loop (``lanes=False``)."""
         while self.cycle < limit:
             if stop == "first" and \
                     any(t.finished for t in self.threads):
-                return True
+                return
             if all(t.finished for t in self.threads):
-                return True
-            if until is not None and self.cycle >= until:
-                return False
+                return
             if not self.fastforward or not self._try_fast_forward(limit):
                 self.step()
-            if warm and all(t.retired >= warm for t in self.threads):
-                self._reset_statistics()
-                warm = self._run_warm = 0
             if self.cycle - self._progress_cycle() > \
                     self.DEADLOCK_WINDOW \
                     and not self._progress_scheduled():
@@ -254,32 +194,6 @@ class Pipeline:
         raise DeadlockError(f"max_cycles={limit} exceeded "
                             f"({self._total_retired}/"
                             f"{total_instrs} retired)")
-
-    def finish_run(self) -> SimResult:
-        """Post-run drain check and result construction (the tail of
-        :meth:`run`); call once :meth:`advance` has returned ``True``."""
-        if self.sanitizer is not None and \
-                all(t.finished for t in self.threads):
-            self.sanitizer.check_drain(self.cycle)
-        return self._result(self._run_stop)
-
-    def _reset_statistics(self) -> None:
-        """End of warm-up: zero counters, keep all architectural state."""
-        self.events = EventCounts()
-        self._occ_iq = self._occ_rob = self._occ_shelf = 0
-        self._occ_lq = self._occ_sq = 0
-        for cache in (self.hierarchy.l1i, self.hierarchy.l1d,
-                      self.hierarchy.l2):
-            cache.stats.reset()
-        self.predictor.lookups = 0
-        self.predictor.direction_mispredicts = 0
-        self.predictor.target_mispredicts = 0
-        for t in self.threads:
-            t.lsq.lq_search_events = 0
-            t.lsq.sq_search_events = 0
-            t.lsq.store_buffer.coalesced = 0
-            t.measure_start_cycle = self.cycle
-            t.measure_start_retired = t.retired
 
     def _progress_cycle(self) -> int:
         """Last cycle the pipeline demonstrably moved forward: a
@@ -1056,12 +970,11 @@ class Pipeline:
         cycles = max(self.cycle, 1)
         threads = []
         for t in self.threads:
-            measured = t.retired - t.measure_start_retired
+            retired = t.retired
             if stop == "all" and t.finish_cycle is not None:
-                span = t.finish_cycle - t.measure_start_cycle
-                cpi = span / measured if measured else float("inf")
-            elif measured > 0:
-                cpi = (cycles - t.measure_start_cycle) / measured
+                cpi = t.finish_cycle / retired if retired else float("inf")
+            elif retired > 0:
+                cpi = cycles / retired
             else:
                 cpi = float("inf")
             threads.append(ThreadResult(
@@ -1152,9 +1065,7 @@ class Pipeline:
 
 
 def simulate(config: CoreConfig, traces: Sequence[Trace],
-             stop: str = "first", max_cycles: Optional[int] = None,
-             warmup_instructions: int = 0) -> SimResult:
+             stop: str = "first",
+             max_cycles: Optional[int] = None) -> SimResult:
     """Convenience one-shot: build a :class:`Pipeline` and run it."""
-    return Pipeline(config, traces).run(
-        stop=stop, max_cycles=max_cycles,
-        warmup_instructions=warmup_instructions)
+    return Pipeline(config, traces).run(stop=stop, max_cycles=max_cycles)

@@ -25,7 +25,6 @@ class ThreadContext:
         "rob", "issue_tracker", "order_tracker", "lsq", "shelf", "ssr",
         "in_flight", "shelf_wb_pending", "spec_inflight",
         "icount", "retired", "finish_cycle",
-        "measure_start_cycle", "measure_start_retired",
         "last_dispatch_was_shelf", "head_snapshot", "insequence_flags",
     )
 
@@ -70,9 +69,6 @@ class ThreadContext:
         self.icount = 0            #: ICOUNT statistic (front end + unissued)
         self.retired = 0
         self.finish_cycle: Optional[int] = None
-        #: measurement-region origin (moved forward by warm-up resets).
-        self.measure_start_cycle = 0
-        self.measure_start_retired = 0
         self.last_dispatch_was_shelf = False
         self.head_snapshot = 0     #: issue-tracker head at cycle start
 

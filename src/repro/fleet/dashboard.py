@@ -89,12 +89,12 @@ function renderNodes(doc) {
     `<tr><td>${n.name} <small>(${n.node_id})</small></td>` +
     `<td class="${n.alive ? "ok" : "dead"}">` +
     `${n.alive ? "alive" : "DEAD"}</td>` +
-    `<td>${n.jobs}</td><td>${n.gang ? "gang" : "solo"}</td>` +
+    `<td>${n.jobs}</td>` +
     `<td>${fmt(n.routed)}</td><td>${fmt(n.leased)}</td>` +
     `<td>${fmt(n.completed)}</td><td>${fmt(n.failed)}</td>` +
     `<td>${fmt(n.heartbeat_age_s, 1)}s</td></tr>`);
   document.getElementById("nodes").innerHTML =
-    "<thead><tr><th>node</th><th>state</th><th>jobs</th><th>mode</th>" +
+    "<thead><tr><th>node</th><th>state</th><th>jobs</th>" +
     "<th>routed</th><th>leased</th><th>done</th><th>failed</th>" +
     "<th>last beat</th></tr></thead><tbody>" +
     (rows.length ? rows.join("") :

@@ -4,7 +4,7 @@
 a coordinator started with ``repro serve --fleet``.  The life cycle:
 
 1. **register** — POST ``/fleet/register`` with a capability report
-   (local job slots, gang support).  The response carries the node id
+   (local job slots).  The response carries the node id
    and the fleet store topology (``REPRO_FLEET_DIR`` /
    ``REPRO_FLEET_SHARDS``): if this process has no fleet store mounted
    yet, it adopts the coordinator's, so every node shares one sharded
@@ -15,7 +15,7 @@ a coordinator started with ``repro serve --fleet``.  The life cycle:
    fresh node id.
 3. **lease / execute / report** — the main loop pulls a lease, runs it
    through :func:`repro.harness.executor.execute_wire_batch` (the same
-   body the local service pool runs — store check, gang fast path,
+   body the local service pool runs — store check, trace memo,
    per-point SIGALRM), and reports outcomes.  Results are already in
    the shared sharded store by the time the report lands, so the wire
    carries digests and timings, not blobs.
@@ -36,7 +36,6 @@ import time
 from typing import List, Optional
 
 from repro import envvars
-from repro.core.gang import gang_enabled
 from repro.harness.cache import reset_store
 from repro.harness.executor import execute_wire_batch
 from repro.service.client import ServiceClient, ServiceError
@@ -87,8 +86,7 @@ class WorkerNode:
 
     def register(self) -> dict:
         """Join the fleet; adopt its store topology if we have none."""
-        doc = self.client.fleet_register(self.name, jobs=self.jobs,
-                                         gang=gang_enabled())
+        doc = self.client.fleet_register(self.name, jobs=self.jobs)
         self.node_id = doc["node_id"]
         if doc.get("heartbeat_s"):
             self.heartbeat_s = float(doc["heartbeat_s"])
@@ -206,8 +204,7 @@ def worker_main(connect: str, name: Optional[str] = None, jobs: int = 1,
         return 1
     print(f"repro worker {node.name} joined fleet at "
           f"http://{node.client.host}:{node.client.port} "
-          f"as {node.node_id} (jobs={node.jobs}, "
-          f"gang={'on' if gang_enabled() else 'off'})", flush=True)
+          f"as {node.node_id} (jobs={node.jobs})", flush=True)
     points = node.run(idle_exit_s=idle_exit_s)
     print(f"repro worker {node.name} leaving: {points} point(s) over "
           f"{node.leases_run} lease(s)", flush=True)

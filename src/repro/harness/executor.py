@@ -31,7 +31,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
 
 from repro import envvars
 from repro.core.config import CoreConfig
-from repro.core.gang import GangEngine, gang_enabled, gang_size
 from repro.core.pipeline import Pipeline
 from repro.core.stats import SimResult
 from repro.harness.cache import get_store, point_digest
@@ -46,9 +45,7 @@ PointSpec = Tuple[CoreConfig, Tuple[str, ...], int, int, str]
 
 #: (name, length, seed) -> trace, LRU-bounded.  Traces are immutable
 #: once generated (cursors live on ThreadContext), so one object safely
-#: serves every point that names it — which is also what lets gang
-#: members share a single decoded-trace array set (keyed on object
-#: identity in :mod:`repro.core.gang`).
+#: serves every point that names it.
 _TRACE_MEMO: "OrderedDict[Tuple[str, int, int], object]" = OrderedDict()
 _TRACE_MEMO_MAX = 64
 _trace_memo_hits = 0
@@ -60,8 +57,8 @@ def traces_for(benchmarks: Tuple[str, ...], length: int,
     """The traces for one point, memoized per trace per process.
 
     A 50-config grid over one mix generates its traces once per worker
-    instead of 50 times; repeated lookups also return the *same* trace
-    objects, enabling decode sharing across gang members.
+    instead of 50 times — which is why points sharing traces run in one
+    task (:func:`run_points`, the service's locality batches).
     """
     global _trace_memo_hits, _trace_memo_misses
     out = []
@@ -198,58 +195,33 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
     * ``{"ok": False, "error": {...}}`` — the point timed out or its
       spec failed validation; the rest of the batch still runs.
 
-    With gang mode on (``REPRO_GANG``), store-missing points *without*
-    a per-point timeout that share a trace signature simulate as one
-    :class:`~repro.core.gang.GangEngine` unit (results bit-identical
-    to solo, ``elapsed_s`` reported as the gang's share); a signature
-    with a single such point has no gang-mates and runs solo.  Timed
-    points stay on the solo path because the ``SIGALRM`` budget is per
-    point and gang members interleave.
+    Specs run one after another in this process, so points sharing
+    traces — which the service batches together — are served by this
+    worker's trace memo.  Each point is looked up in the store once.
     """
     # late import: repro.service imports this module at load time, so
     # the spec class must resolve lazily to keep the layering acyclic.
     from repro.service.jobs import JobSpec
-    store = get_store()
-    out: List[Optional[dict]] = [None] * len(wire_specs)
-    gang_ok = gang_enabled()
-    gang_points: List[tuple] = []
-    gang_indices: List[int] = []
-    for idx, wire in enumerate(wire_specs):
+    out: List[dict] = []
+    for wire in wire_specs:
         timeout_s = wire.get("_timeout_s")
         t0 = time.time()
         try:
             spec = JobSpec.from_wire(wire)
-            hit = store.get(spec.digest()) if store is not None else None
-            if hit is None and gang_ok and timeout_s is None:
-                gang_points.append(spec.point())
-                gang_indices.append(idx)
-                continue
             with _alarm(timeout_s):
-                result = hit if hit is not None \
-                    else simulate_point(*spec.point())
+                result, hit = _simulate(*spec.point())
         except PointTimeout:
-            out[idx] = {"ok": False, "error": {
+            out.append({"ok": False, "error": {
                 "type": "timeout",
-                "message": f"point exceeded its {timeout_s}s budget"}}
+                "message": f"point exceeded its {timeout_s}s budget"}})
         except ValueError as exc:
-            out[idx] = {"ok": False, "error": {
-                "type": "bad-spec", "message": str(exc)}}
+            out.append({"ok": False, "error": {
+                "type": "bad-spec", "message": str(exc)}})
         else:
-            out[idx] = {"ok": True, "result": result,
+            out.append({"ok": True, "result": result,
                         "elapsed_s": time.time() - t0,
-                        "store_hit": hit is not None}
-    for group in _gang_groups(gang_points):
-        t0 = time.time()
-        if len(group) == 1:
-            results = [simulate_point(*gang_points[group[0]])]
-        else:
-            results = simulate_gang([gang_points[g] for g in group])
-        share = (time.time() - t0) / len(group)
-        for g, result in zip(group, results):
-            out[gang_indices[g]] = {"ok": True, "result": result,
-                                    "elapsed_s": share,
-                                    "store_hit": False}
-    return out  # type: ignore[return-value]
+                        "store_hit": hit})
+    return out
 
 
 def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
@@ -259,12 +231,18 @@ def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
     Checks the content-addressed disk store first, simulates on miss, and
     persists the result so any other process sharing the store dir hits.
     """
+    return _simulate(config, benchmarks, length, seed, stop)[0]
+
+
+def _simulate(config: CoreConfig, benchmarks: Tuple[str, ...],
+              length: int, seed: int, stop: str) -> Tuple[SimResult, bool]:
+    """:func:`simulate_point`'s body; also says whether the store hit."""
     store = get_store()
     if store is not None:
         digest = point_digest(config, benchmarks, length, seed, stop)
         cached = store.get(digest)
         if cached is not None:
-            return cached
+            return cached, True
     traces = traces_for(benchmarks, length, seed)
     result = Pipeline(config, traces).run(stop=stop)
     if store is not None:
@@ -272,57 +250,7 @@ def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
         # sidecar and the warehouse row with full config columns.
         store.put(digest, result,
                   point=(config, benchmarks, length, seed, stop))
-    return result
-
-
-def simulate_gang(specs: Sequence[PointSpec]) -> List[SimResult]:
-    """Run gang-compatible specs — identical ``(benchmarks, length,
-    seed, stop)``, any configs — as one gang through the store.
-
-    Per-spec store hits are honoured individually; the misses become
-    members of one :class:`~repro.core.gang.GangEngine` sharing decoded
-    traces, and every result is persisted exactly as
-    :func:`simulate_point` would.  If the gang raises (e.g. one member
-    deadlocks), the misses are re-run solo so the failure is raised by
-    — and attributed to — the offending spec alone.
-    """
-    specs = list(specs)
-    store = get_store()
-    results: List[Optional[SimResult]] = [None] * len(specs)
-    digests: List[Optional[str]] = [None] * len(specs)
-    pending = []
-    for i, (config, benchmarks, length, seed, stop) in enumerate(specs):
-        if store is not None:
-            digests[i] = point_digest(config, benchmarks, length, seed,
-                                      stop)
-            cached = store.get(digests[i])
-            if cached is not None:
-                results[i] = cached
-                continue
-        pending.append(i)
-    if not pending:
-        return results  # type: ignore[return-value]
-    try:
-        members = []
-        for i in pending:
-            config, benchmarks, length, seed, stop = specs[i]
-            members.append(
-                Pipeline(config, traces_for(benchmarks, length, seed)))
-        gang_results = GangEngine(
-            members, stop=specs[pending[0]][4]).run()
-    except Exception:  # repro-lint: waive=DET104
-        # Audited: nothing is swallowed — the solo replay below re-runs
-        # every miss, so the failing member re-raises its exact
-        # exception with solo attribution, and its healthy gang-mates
-        # still produce (bit-identical) results.
-        for i in pending:
-            results[i] = simulate_point(*specs[i])
-        return results  # type: ignore[return-value]
-    for i, result in zip(pending, gang_results):
-        results[i] = result
-        if store is not None:
-            store.put(digests[i], result, point=specs[i])
-    return results  # type: ignore[return-value]
+    return result, False
 
 
 def _worker(spec: PointSpec) -> Tuple[SimResult, float]:
@@ -331,32 +259,32 @@ def _worker(spec: PointSpec) -> Tuple[SimResult, float]:
     return result, time.time() - t0
 
 
+# The e2e benchmark's tracer wraps this name, so it keeps it.
 def _gang_worker(specs: Sequence[PointSpec]
-                 ) -> Tuple[List[SimResult], float]:
-    t0 = time.time()
-    results = simulate_gang(specs)
-    return results, time.time() - t0
+                 ) -> List[Tuple[SimResult, float]]:
+    """One pool task for points sharing traces: run them one after
+    another so this worker's trace memo serves every one after the
+    first; each point reports its own ``(result, elapsed_s)``.  It does
+    not call :func:`_worker`, whose tracer span would nest in its own."""
+    out = []
+    for spec in specs:
+        t0 = time.time()
+        out.append((simulate_point(*spec), time.time() - t0))
+    return out
 
 
-def _gang_groups(specs: Sequence[PointSpec]) -> List[List[int]]:
-    """Partition spec indices into gang-compatible chunks.
+def _trace_groups(specs: Sequence[PointSpec]) -> List[List[int]]:
+    """Partition spec indices by trace signature.
 
-    Specs sharing ``(benchmarks, length, seed, stop)`` — i.e. the same
-    traces and stop condition, whatever their configs — group together
-    in first-appearance order, chunked at :func:`gang_size` members.
-    Unique signatures come out as singletons and take the plain solo
-    paths.
+    Specs sharing ``(benchmarks, length, seed, stop)`` — the same traces
+    and stop condition, whatever their configs — group together in
+    first-appearance order.
     """
     by_signature: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for i, (config, benchmarks, length, seed, stop) in enumerate(specs):
         by_signature.setdefault(
             (benchmarks, length, seed, stop), []).append(i)
-    size = gang_size()
-    groups: List[List[int]] = []
-    for indices in by_signature.values():
-        for k in range(0, len(indices), size):
-            groups.append(indices[k:k + size])
-    return groups
+    return list(by_signature.values())
 
 
 def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
@@ -369,29 +297,18 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
     run serially in this process.  Either way every completed point is
     yielded exactly once, so callers can checkpoint incrementally.
 
-    When gang mode is on (``REPRO_GANG``, default) specs sharing a trace
-    signature run as one :class:`~repro.core.gang.GangEngine` unit —
-    one pool task (or one serial step) per gang, results bit-identical
-    to solo, per-spec elapsed reported as the gang's share — so yields
-    may leave spec order even at ``jobs = 1``.
+    Points sharing traces run in one task: specs with the same trace
+    signature go to one pool task (or run back to back when serial),
+    so the worker's trace memo generates their traces once.  Yields may therefore leave spec order even at ``jobs = 1``.
     """
     specs = list(specs)
     jobs = min(resolve_jobs(jobs), max(len(specs), 1))
-    if gang_enabled() and len(specs) > 1:
-        groups = _gang_groups(specs)
-    else:
-        groups = [[i] for i in range(len(specs))]
+    groups = _trace_groups(specs)
     if jobs <= 1:
         for indices in groups:
-            if len(indices) == 1:
-                result, elapsed = _worker(specs[indices[0]])
-                yield indices[0], result, elapsed
-            else:
-                results, elapsed = _gang_worker(
-                    [specs[i] for i in indices])
-                share = elapsed / len(indices)
-                for i, result in zip(indices, results):
-                    yield i, result, share
+            for i in indices:
+                result, elapsed = _worker(specs[i])
+                yield i, result, elapsed
         return
     # spawn, not fork: workers re-import the package, so they are safe
     # regardless of parent threads and identical across platforms.
@@ -399,24 +316,13 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
     with interrupt_on_sigterm():
         try:
-            futures = {}
-            for indices in groups:
-                if len(indices) == 1:
-                    future = pool.submit(_worker, specs[indices[0]])
-                else:
-                    future = pool.submit(
-                        _gang_worker, [specs[i] for i in indices])
-                futures[future] = indices
+            futures = {pool.submit(_gang_worker,
+                                   [specs[i] for i in indices]): indices
+                       for indices in groups}
             for future in as_completed(futures):
-                indices = futures[future]
-                if len(indices) == 1:
-                    result, elapsed = future.result()
-                    yield indices[0], result, elapsed
-                    continue
-                results, elapsed = future.result()
-                share = elapsed / len(indices)
-                for i, result in zip(indices, results):
-                    yield i, result, share
+                for i, (result, elapsed) in zip(futures[future],
+                                                future.result()):
+                    yield i, result, elapsed
         except BaseException:
             # KeyboardInterrupt / SIGTERM / a consumer abandoning the
             # generator: kill in-flight workers (before shutdown() —

@@ -219,12 +219,12 @@ class ServiceClient:
 
     # -- fleet protocol (worker side; coordinator must run --fleet) --------
 
-    def fleet_register(self, name: str, jobs: int = 1, gang: bool = True,
+    def fleet_register(self, name: str, jobs: int = 1,
                        shards: Optional[Sequence[int]] = None) -> dict:
         """Register this process as a worker node; the response carries
         ``node_id`` plus the fleet store topology to mount."""
         return self._request("POST", "/fleet/register", {
-            "name": name, "jobs": jobs, "gang": gang,
+            "name": name, "jobs": jobs,
             "shards": list(shards or [])})[1]
 
     def fleet_heartbeat(self, node_id: str) -> dict:

@@ -137,9 +137,10 @@ class JobSpec:
 
         Grid neighbours — same workload mix, different configs — share
         this key, so rendezvous routing sends them to the same worker
-        node, whose trace memo and gang batches then serve the whole
-        neighbourhood.  Salt-stable and digest-free: the key never
-        depends on the result-store salt or any mode flag.
+        node, where points sharing traces run in one task and its trace
+        memo serves the whole neighbourhood.  Salt-stable and
+        digest-free: the key never depends on the result-store salt or
+        any mode flag.
         """
         return "|".join(("+".join(self.benchmarks), str(self.length),
                          str(self.seed), self.stop))
@@ -325,7 +326,7 @@ class JobQueue:
 
     # -- consumption -------------------------------------------------------
 
-    def take_batch(self, max_n: int, gang: bool = False,
+    def take_batch(self, max_n: int,
                    mark_running: bool = True) -> List[Job]:
         """Pop up to *max_n* compatible jobs and mark them running.
 
@@ -338,12 +339,12 @@ class JobQueue:
         where they are still *waiting* — they go RUNNING only when a
         worker actually leases them (see :meth:`mark_running`).
 
-        With ``gang=True`` the batch first takes every compatible job
-        sharing the head job's trace signature ``(benchmarks, length,
-        seed, stop)``, however deep it sits, oldest first — a grid
-        submitted config-major keeps a mix's configs far apart in the
-        queue, and this is what still lands them on one worker as one
-        gang over shared traces.  Either way the batch is then topped
+        The batch first takes every compatible job sharing the head
+        job's trace signature ``(benchmarks, length, seed, stop)``,
+        however deep it sits, oldest first — a grid submitted
+        config-major keeps a mix's configs far apart in the queue, and
+        this is what still lands them on one worker, whose trace memo
+        then generates the mix's traces once.  The batch is then topped
         up from the head of the queue.
         """
         now = time.monotonic()
@@ -352,7 +353,7 @@ class JobQueue:
                 return []
             first = heapq.heappop(self._heap)[2]
             batch = [first]
-            if gang and max_n > 1:
+            if max_n > 1:
                 signature = first.spec.locality_key()
                 mates = heapq.nsmallest(max_n - 1, (
                     entry for entry in self._heap

@@ -97,16 +97,6 @@ def test_smt_shelf_config_bit_identical():
     _run_pair(cfg, traces, stop="first")
 
 
-def test_warmup_reset_bit_identical():
-    cfg = CoreConfig(num_threads=1, shelf_entries=16, steering="oracle")
-    traces = [generate("pchase.l2", 300, 3)]
-    fast = Pipeline(cfg, traces, record_schedule=True, fastforward=True)
-    r_fast = fast.run(stop="all", warmup_instructions=100)
-    ref = Pipeline(cfg, traces, record_schedule=True, fastforward=False)
-    r_ref = ref.run(stop="all", warmup_instructions=100)
-    assert pickle.dumps(r_fast) == pickle.dumps(r_ref)
-
-
 def test_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_FASTFORWARD", "0")
     assert not fastforward_enabled()

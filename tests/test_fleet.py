@@ -144,7 +144,7 @@ class TestShardedStore:
 class TestNodeRegistry:
     def test_register_and_heartbeat(self):
         reg = NodeRegistry(heartbeat_s=10.0)
-        info = reg.register("w1", jobs=2, gang=False)
+        info = reg.register("w1", jobs=2)
         assert reg.heartbeat(info.node_id)
         assert not reg.heartbeat("node-999")
         assert len(reg) == 1

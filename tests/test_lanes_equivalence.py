@@ -177,16 +177,6 @@ def test_env_escape_hatch(monkeypatch):
     assert lanes_enabled()
 
 
-def test_warmup_reset_bit_identical():
-    cfg = CoreConfig(num_threads=1, shelf_entries=16, steering="oracle")
-    traces = [generate("pchase.l2", 300, 3)]
-    lane = Pipeline(cfg, traces, record_schedule=True, lanes=True)
-    r_lane = lane.run(stop="all", warmup_instructions=100)
-    obj = Pipeline(cfg, traces, record_schedule=True, lanes=False)
-    r_obj = obj.run(stop="all", warmup_instructions=100)
-    assert pickle.dumps(r_lane) == pickle.dumps(r_obj)
-
-
 def test_final_invariants_hold_after_lane_run():
     cfg = CoreConfig(num_threads=2, shelf_entries=32, steering="practical")
     traces = [generate("gather.small", 200, 0),

@@ -2,35 +2,29 @@
 
 Covers: content digests, store round-trips and corruption tolerance,
 job-count resolution, serial-vs-parallel campaign determinism,
-resume-after-interrupt, zero-simulation replay from the store, and the
-two-level cache statistics.
+resume-after-interrupt, zero-simulation replay from the store, the
+two-level cache statistics, the per-process trace memo, and one task
+per trace signature.
 """
 
 import json
 import pickle
+from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import CoreConfig
 from repro.core.pipeline import Pipeline
 from repro.harness import cache as hcache
-from repro.harness import runner
+from repro.harness import executor, runner
 from repro.harness.cache import ResultStore, point_digest
 from repro.harness.campaign import Campaign, CampaignPoint, standard_campaign
 from repro.harness.configs import base64_config, shelf_config
 from repro.harness.executor import resolve_jobs, run_points, simulate_point
+from repro.trace import generate
 
 MIXES = [("ilp.int8", "serial.alu"), ("branchy.easy", "gather.small")]
-
-
-@pytest.fixture
-def isolated_store(tmp_path, monkeypatch):
-    """Point the persistent store at a fresh directory (workers inherit
-    the env var) and reset both cache levels around the test."""
-    store_dir = tmp_path / "store"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
-    runner.clear_cache()
-    yield store_dir
-    runner.clear_cache()
 
 
 def small_campaign(path, configs=None):
@@ -274,3 +268,124 @@ class TestCacheStats:
         assert runner.prefill(points) == 0  # everything already memoized
         runner.run_mix(cfg, MIXES[0], 200, 0)
         assert runner.cache_stats()["memo_hits"] == 1
+
+
+class TestTraceMemo:
+    """One ``generate()`` per distinct trace per process."""
+
+    @pytest.fixture(autouse=True)
+    def _no_store(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        runner.clear_cache()
+        yield
+        runner.clear_cache()
+
+    def test_trace_memo_counts_generate_calls(self, monkeypatch):
+        calls = []
+
+        def counting_generate(bench, length, seed):
+            calls.append((bench, length, seed))
+            return generate(bench, length, seed)
+
+        monkeypatch.setattr(executor, "generate", counting_generate)
+
+        first = executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2     # one per distinct (bench, length, seed)
+        again = executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2     # all hits: no regeneration
+        assert all(a is b for a, b in zip(first, again))
+        # a 3-config "grid" over the same mix costs zero extra generates.
+        for _ in range(3):
+            executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2
+        stats = executor.trace_memo_stats()
+        assert stats["misses"] == 2 and stats["hits"] == 8
+        assert stats["entries"] == 2
+
+        executor.clear_trace_memo()
+        assert executor.trace_memo_stats() == {"entries": 0, "hits": 0,
+                                               "misses": 0}
+        executor.traces_for(("ilp.int8",), 200, 0)
+        assert len(calls) == 3     # regenerated after the clear
+
+    def test_trace_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(executor, "generate",
+                            lambda bench, length, seed: object())
+        for seed in range(executor._TRACE_MEMO_MAX + 10):
+            executor.traces_for(("ilp.int8",), 50, seed)
+        assert executor.trace_memo_stats()["entries"] == \
+            executor._TRACE_MEMO_MAX
+
+    def test_clear_cache_clears_trace_memo(self):
+        executor.traces_for(("ilp.int8",), 60, 0)
+        assert executor.trace_memo_stats()["entries"] == 1
+        runner.clear_cache()
+        assert executor.trace_memo_stats()["entries"] == 0
+        stats = runner.cache_stats()
+        assert "trace_entries" in stats and "trace_hits" in stats
+
+
+def _point(cfg, benchmarks=("ilp.int8",), length=120, seed=0, stop="first"):
+    return (cfg, benchmarks, length, seed, stop)
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each task on submit and
+    records it, so a test can see how run_points splits its tasks."""
+
+    tasks: list = []
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def submit(self, fn, arg):
+        future = Future()
+        future.set_result(fn(arg))
+        self.tasks.append((fn.__name__, arg))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestTraceGroups:
+    """Points sharing traces run in one task."""
+
+    def test_groups_by_signature_without_chunking(self):
+        a = CoreConfig(num_threads=1)
+        specs = [
+            _point(a, seed=0),                          # sig S, 0
+            _point(replace(a, iq_entries=48), seed=1),  # sig T, 1
+            _point(replace(a, rob_entries=96), seed=0),  # sig S, 2
+            _point(replace(a, iq_entries=24), seed=0),   # sig S, 3
+            _point(a, seed=0, stop="all"),              # sig U, 4
+        ]
+        # first-appearance order; a signature is never split.
+        assert executor._trace_groups(specs) == [[0, 2, 3], [1], [4]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_points_grouped_matches_per_point(self, jobs, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        runner.clear_cache()
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "tasks", [])
+        base = CoreConfig(num_threads=1, shelf_entries=16,
+                          steering="practical")
+        specs = [_point(replace(base, rob_entries=32 + 16 * i), length=150)
+                 for i in range(4)]
+        specs.append(_point(base, length=150, seed=9))  # its own group
+        got = {}
+        for i, result, elapsed in run_points(specs, jobs=jobs):
+            assert i not in got, "index yielded twice"
+            assert elapsed >= 0.0
+            got[i] = pickle.dumps(result)
+        assert sorted(got) == list(range(len(specs)))
+        for i, (cfg, benchmarks, length, seed, stop) in enumerate(specs):
+            solo = Pipeline(cfg, [generate(benchmarks[0], length, seed)]
+                            ).run(stop=stop)
+            assert got[i] == pickle.dumps(solo), f"spec {i} differs"
+        if jobs > 1:
+            # one pool task per trace signature.
+            assert [(fn, len(arg)) for fn, arg in _InlinePool.tasks] == \
+                [("_gang_worker", 4), ("_gang_worker", 1)]
+        runner.clear_cache()

@@ -1,67 +1,12 @@
-"""Tests for warm-up measurement regions, fetch-policy variants and
-failure injection (the invariant checks must actually catch corruption)."""
+"""Tests for fetch-policy variants and failure injection (the invariant
+checks must actually catch corruption)."""
 
 import pytest
 
 from repro.core import CoreConfig, Pipeline, simulate
-from repro.core.gang import GangEngine
 from repro.core.shelf import ShelfPartition
 from repro.frontend.fetch import ICount2Policy, make_fetch_policy
 from repro.trace import generate
-
-
-class TestWarmup:
-    def test_warmup_resets_event_counters(self):
-        tr = generate("branchy.easy", 2000, 0)
-        cold = simulate(CoreConfig(num_threads=1), [tr], stop="all")
-        warm = simulate(CoreConfig(num_threads=1), [tr], stop="all",
-                        warmup_instructions=800)
-        assert warm.events.fetches < cold.events.fetches
-        assert warm.total_retired == cold.total_retired  # retires all
-
-    def test_warm_cpi_beats_cold_cpi_on_cacheable_code(self):
-        # gather.small's table warms into the caches: the post-warm-up
-        # measurement region must show a lower CPI than the cold run.
-        tr = generate("gather.small", 3000, 0)
-        cold = simulate(CoreConfig(num_threads=1), [tr], stop="all")
-        warm = simulate(CoreConfig(num_threads=1), [tr], stop="all",
-                        warmup_instructions=1500)
-        assert warm.threads[0].cpi < cold.threads[0].cpi
-
-    def test_warmup_longer_than_trace_rejected(self):
-        tr = generate("ilp.int4", 300, 0)
-        with pytest.raises(ValueError):
-            simulate(CoreConfig(num_threads=1), [tr], stop="all",
-                     warmup_instructions=300)
-
-    def test_warmup_rejected_with_stop_first(self):
-        # a stop="first" run may end before every thread reaches the
-        # mark, so the reset would fire on some configs and not others.
-        traces = [generate(b, 1200, i) for i, b in enumerate(
-            ["ilp.int8", "serial.alu"])]
-        with pytest.raises(ValueError, match="stop='all'"):
-            simulate(CoreConfig(num_threads=2), traces, stop="first",
-                     warmup_instructions=300)
-        gang = GangEngine([Pipeline(CoreConfig(num_threads=2), traces)],
-                          stop="first")
-        with pytest.raises(ValueError, match="stop='all'"):
-            gang.run(warmup_instructions=300)
-
-    def test_warmup_multithreaded(self):
-        traces = [generate(b, 1200, i) for i, b in enumerate(
-            ["ilp.int8", "serial.alu"])]
-        res = simulate(CoreConfig(num_threads=2), traces, stop="all",
-                       warmup_instructions=300)
-        assert all(t.retired == 1200 for t in res.threads)
-        assert all(t.cpi > 0 for t in res.threads)
-
-    def test_predictor_stats_reset(self):
-        tr = generate("branchy.easy", 3000, 0)
-        warm = simulate(CoreConfig(num_threads=1), [tr], stop="all",
-                        warmup_instructions=1500)
-        cold = simulate(CoreConfig(num_threads=1), [tr], stop="all")
-        # measured over the trained region only: accuracy no worse.
-        assert warm.bpred_accuracy >= cold.bpred_accuracy - 0.01
 
 
 class TestFetchPolicies:

@@ -9,11 +9,12 @@ import asyncio
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import CoreConfig
 from repro.core.pipeline import Pipeline
-from repro.harness import executor
 from repro.harness.cache import get_store, point_digest, reset_store
 from repro.harness.campaign import standard_campaign
 from repro.harness.configs import (EVALUATED_CONFIGS, base64_config,
@@ -181,6 +182,31 @@ class TestJobQueue:
         assert job.state == JobState.DONE and job.cached
         assert q.cache_hits == 1 and q.depth == 0
 
+    def test_take_batch_prefers_trace_signature(self):
+        base = CoreConfig(num_threads=1)
+
+        def spec(rob, bench="ilp.int8", seed=0):
+            return JobSpec(config=replace(base, rob_entries=rob),
+                           benchmarks=(bench,), length=100, seed=seed)
+
+        q = JobQueue()
+        a1 = q.submit(spec(32))
+        b1 = q.submit(spec(32, bench="mixed.int"))
+        a2 = q.submit(spec(64))
+        a3 = q.submit(spec(96))
+        batch = q.take_batch(3)
+        assert [j.job_id for j in batch] == [a1.job_id, a2.job_id, a3.job_id]
+        # the skipped job stays queued, in order, and comes out next.
+        assert [j.job_id for j in q.take_batch(3)] == [b1.job_id]
+
+        # top-up: no signature-mates available -> filled from the head.
+        c1 = q.submit(spec(32, seed=5))
+        d1 = q.submit(spec(32, bench="mixed.int", seed=6))
+        d2 = q.submit(spec(64, bench="mixed.int", seed=6))
+        batch = q.take_batch(3)
+        assert [j.job_id for j in batch] == \
+            [c1.job_id, d1.job_id, d2.job_id]
+
     def test_gang_batch_takes_whole_mix_from_config_major_grid(self):
         # the Fig 10 grid submitted config-major puts one mix's four
         # configs 28 queue entries apart; each batch must still be one
@@ -194,10 +220,10 @@ class TestJobQueue:
                     config=factory(4), benchmarks=tuple(mix), length=300,
                     seed=i))
         for i in range(len(mixes)):
-            batch = q.take_batch(4, gang=True)
+            batch = q.take_batch(4)
             assert [j.job_id for j in batch] == \
                 [jobs[name, i].job_id for name in EVALUATED_CONFIGS]
-        assert q.take_batch(4, gang=True) == []
+        assert q.take_batch(4) == []
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +326,45 @@ class TestScheduler:
         assert metrics.counters["executed_points"] == 4
 
 
-def test_wire_batch_runs_lone_points_solo(fresh_store, monkeypatch):
-    """An untimed store miss with no gang-mate in its batch runs through
-    simulate_point; only a shared trace signature builds a GangEngine."""
-    monkeypatch.delenv("REPRO_GANG", raising=False)
-    built = []
+def test_wire_batch_mixed_specs_match_solo(fresh_store):
+    """Points sharing a signature, a second signature, a timed spec and
+    a bad spec in one batch: every good outcome equals a direct run."""
+    base = shelf_config(1, steering="practical")
+    specs = [_spec(length=120, config=replace(base, rob_entries=64 + 16 * i))
+             for i in range(3)]
+    specs.append(_spec(benchmark="mixed.int", length=120, config=base))
+    wires = [s.to_wire() for s in specs]
+    timed = _spec(length=120, seed=3, config=base)
+    specs.append(timed)
+    wires.append({**timed.to_wire(), "_timeout_s": 60.0})
+    wires.append({**specs[0].to_wire(), "benchmarks": ["no.such.bench"]})
 
-    class CountingGang(executor.GangEngine):
-        def __init__(self, members, **kw):
-            built.append(len(members))
-            super().__init__(members, **kw)
+    out = execute_wire_batch(wires)
+    assert len(out) == len(wires)
+    for spec, outcome in zip(specs, out):
+        assert outcome["ok"] and not outcome["store_hit"], outcome
+        assert outcome["elapsed_s"] >= 0.0
+        assert outcome["result"].as_record() == _direct_record(spec)
+    assert not out[-1]["ok"] and out[-1]["error"]["type"] == "bad-spec"
 
-    monkeypatch.setattr(executor, "GangEngine", CountingGang)
-    lone = [_spec(length=300, seed=1), _spec(benchmark="mixed.int",
-                                             length=300, seed=2)]
-    pair = [_spec(length=300, seed=3),
-            _spec(length=300, seed=3, config=base64_config(1))]
-    outcomes = execute_wire_batch([s.to_wire() for s in lone + pair])
-    assert built == [2]
-    for spec, outcome in zip(lone + pair, outcomes):
-        assert outcome["ok"] and not outcome["store_hit"]
+
+def test_wire_batch_looks_each_point_up_once(fresh_store, monkeypatch):
+    """One ``ResultStore.get`` per spec, hit or miss: the queue already
+    looked the point up before it reached the batch."""
+    specs = [_spec(length=150, seed=s) for s in range(3)]
+    simulate_point(*specs[1].point())  # one hit among the misses
+    calls = []
+    real_get = type(fresh_store).get
+
+    def counting_get(store, digest):
+        calls.append(digest)
+        return real_get(store, digest)
+
+    monkeypatch.setattr(type(fresh_store), "get", counting_get)
+    outcomes = execute_wire_batch([s.to_wire() for s in specs])
+    assert calls == [s.digest() for s in specs]
+    assert [o["store_hit"] for o in outcomes] == [False, True, False]
+    for spec, outcome in zip(specs, outcomes):
         assert outcome["result"].as_record() == _direct_record(spec)
 
 

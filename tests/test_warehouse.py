@@ -28,16 +28,6 @@ MIX = ("ilp.int8", "serial.alu")
 LENGTH = 250
 
 
-@pytest.fixture
-def isolated_store(tmp_path, monkeypatch):
-    """Fresh store + warehouse per test (workers inherit the env var)."""
-    store_dir = tmp_path / "store"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
-    runner.clear_cache()
-    yield store_dir
-    runner.clear_cache()
-
-
 def simulate_mix(config=None, mix=MIX, length=LENGTH, seed=0, stop="first"):
     cfg = config if config is not None else base64_config(len(mix))
     return simulate_point(cfg, tuple(mix), length, seed, stop)
